@@ -33,7 +33,6 @@ func runBench(w io.Writer, base live.Config, profiles []string, warmup, measure,
 		for _, pol := range []string{"lru", "rwp"} {
 			cfg := base
 			cfg.Policy = pol
-			cfg.Record = false
 			c, err := live.New(cfg)
 			if err != nil {
 				return err

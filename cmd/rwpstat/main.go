@@ -223,24 +223,26 @@ func render(w io.Writer, journals []*namedJournal, series bool) error {
 // rendering and every merged cell is a commutative sum, so the table
 // is invariant to -journal argument order — the property the cluster's
 // "merged view equals single-node view" differential tests rely on.
+// Retarget counts are not a column: node journals carry no retarget
+// events (a live node's probe view is derived from its counters), and
+// the counts are in every node's /stats document and the merged one.
 func renderCluster(w io.Writer, nodes []*namedJournal) error {
 	sorted := append([]*namedJournal(nil), nodes...)
 	sort.Slice(sorted, func(i, k int) bool { return sorted[i].label < sorted[k].label })
 
 	t := report.New(fmt.Sprintf("cluster (merged over %d node journals)", len(sorted)),
 		"node", "accesses", "hits", "hit-rate", "rd-hit-rate", "hit-clean", "hit-dirty",
-		"bypasses", "evict-clean", "evict-dirty", "retargets", "p99-cost")
+		"bypasses", "evict-clean", "evict-dirty", "p99-cost")
 	var sum, sumLoad probe.ClassCounters
 	var sumCosts probe.CostHist
 	var evClean, evDirty uint64
-	var retargets int
 	rate := func(hits, accesses uint64) string {
 		if accesses == 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(accesses))
 	}
-	row := func(label string, cc, load probe.ClassCounters, costs probe.CostHist, ec, ed uint64, rt int) {
+	row := func(label string, cc, load probe.ClassCounters, costs probe.CostHist, ec, ed uint64) {
 		// Old journals carry no costs record: render '-' rather than a
 		// misleading 0.
 		p99 := "-"
@@ -250,7 +252,7 @@ func renderCluster(w io.Writer, nodes []*namedJournal) error {
 		t.AddRow(label, report.I(cc.Accesses), report.I(cc.Hits),
 			rate(cc.Hits, cc.Accesses), rate(load.Hits, load.Accesses),
 			report.I(cc.HitsClean), report.I(cc.HitsDirty), report.I(cc.Bypasses),
-			report.I(ec), report.I(ed), report.I(rt), p99)
+			report.I(ec), report.I(ed), p99)
 	}
 	for _, nj := range sorted {
 		var cc probe.ClassCounters
@@ -258,16 +260,15 @@ func renderCluster(w io.Writer, nodes []*namedJournal) error {
 			cc.Add(nj.j.Classes[c])
 		}
 		load := nj.j.Classes[probe.Load]
-		row(nj.label, cc, load, nj.j.Costs, nj.j.EvictClean, nj.j.EvictDirty, len(nj.j.Retargets))
+		row(nj.label, cc, load, nj.j.Costs, nj.j.EvictClean, nj.j.EvictDirty)
 		sum.Add(cc)
 		sumLoad.Add(load)
 		sumCosts.Add(nj.j.Costs)
 		evClean += nj.j.EvictClean
 		evDirty += nj.j.EvictDirty
-		retargets += len(nj.j.Retargets)
 	}
 	t.AddRule()
-	row("merged", sum, sumLoad, sumCosts, evClean, evDirty, retargets)
+	row("merged", sum, sumLoad, sumCosts, evClean, evDirty)
 	t.Note = "rows sorted by journal label; merged row is the order-independent sum; rd-hit-rate is the Load class alone"
 	return t.Render(w)
 }

@@ -144,6 +144,9 @@ func TestClusterMergedTable(t *testing.T) {
 	if strings.Contains(got, "run results") {
 		t.Errorf("per-run tables rendered with only -journal inputs:\n%s", got)
 	}
+	if strings.Contains(got, "retargets") {
+		t.Errorf("cluster table has a retargets column, which node journals cannot fill:\n%s", got)
+	}
 
 	var swapped bytes.Buffer
 	if code := run([]string{"-journal", b, "-journal", a}, &swapped, &errb); code != 0 {

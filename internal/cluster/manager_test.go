@@ -19,12 +19,12 @@ func testManager(t *testing.T) *Manager {
 func TestManagerDecide(t *testing.T) {
 	m := testManager(t)
 	ws := []probe.ShardWindow{
-		{Window: 0, Shard: 0, Reads: 900, Replicas: 1},  // hot → add
-		{Window: 0, Shard: 1, Reads: 10, Replicas: 1},   // cold, already minimal → nothing
-		{Window: 0, Shard: 2, Reads: 10, Replicas: 2},   // cold, replicated → drop
-		{Window: 0, Shard: 3, Reads: 200, Replicas: 1},  // warm → nothing
-		{Window: 0, Shard: 4, Reads: 900, Replicas: 3},  // hot, at node cap → nothing
-		{Window: 0, Shard: 5, Reads: 600, Replicas: 2},  // hot, room to grow → add
+		{Window: 0, Shard: 0, Reads: 900, Replicas: 1}, // hot → add
+		{Window: 0, Shard: 1, Reads: 10, Replicas: 1},  // cold, already minimal → nothing
+		{Window: 0, Shard: 2, Reads: 10, Replicas: 2},  // cold, replicated → drop
+		{Window: 0, Shard: 3, Reads: 200, Replicas: 1}, // warm → nothing
+		{Window: 0, Shard: 4, Reads: 900, Replicas: 3}, // hot, at node cap → nothing
+		{Window: 0, Shard: 5, Reads: 600, Replicas: 2}, // hot, room to grow → add
 	}
 	got := m.Decide(ws, 3)
 	want := []Command{

@@ -1,17 +1,18 @@
 package live
 
 import (
+	"errors"
+
 	"rwp/internal/cache"
-	"rwp/internal/mem"
 	"rwp/internal/probe"
 )
 
-// This file is the live cache's stampede defense: what happens on a
-// Get miss when Config.Coalesce and/or Config.NegOps are set. The
-// look-aside design's classic failure mode is a miss storm — many
-// clients miss on one key at once and fan out as that many concurrent
-// Loader calls, overloading the very backend the cache exists to
-// shield. Three mechanisms close it:
+// This file is the live cache's Get miss path with a Loader (miss),
+// and the stampede defense it runs when Config.Coalesce and/or
+// Config.NegOps are set. The look-aside design's classic failure mode
+// is a miss storm — many clients miss on one key at once and fan out
+// as that many concurrent Loader calls, overloading the very backend
+// the cache exists to shield. Three mechanisms close it:
 //
 //   - Singleflight coalescing (Coalesce): the first miss on a key
 //     registers a fillCall in its shard's fills map and becomes the
@@ -58,9 +59,11 @@ import (
 
 // fillCall is one in-flight coalesced Loader call.
 type fillCall struct {
-	born uint64        // the set's op-count at registration (the lease clock)
-	done chan struct{} // closed by the leader once val is final
-	val  []byte        // the Loader's result; immutable after done closes
+	born   uint64        // the set's op-count at registration (the lease clock)
+	done   chan struct{} // closed by the leader once val (or failed) is final
+	val    []byte        // the Loader's result; immutable after done closes
+	failed any           // non-nil when the leader's Loader panicked: its value
+	landed bool          // set by land; read only by the leader itself
 }
 
 // negEntry is one negative-cache verdict: key was absent from the
@@ -127,109 +130,101 @@ func (s *lset) negDelete(key string) {
 	}
 }
 
-// missDefended finishes a Get miss with the stampede defenses engaged.
-// Get has already counted the miss (Gets, GetMisses, the probe miss
-// event) and released the shard lock; this function owns the rest of
-// the operation — it takes and releases the lock itself and does all
-// remaining cost/telemetry accounting. Exactly one of the six
-// conservation counters is incremented on every path.
-func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) ([]byte, bool) {
-	sh.mu.Lock()
-	if way := ls.find(key); way >= 0 {
-		// The key landed between Get's miss probe and here — a writer
-		// or another miss's fill. Join the just-landed fill instead of
-		// fetching again: this is the tail of a storm, and exactly the
-		// duplicate Loader call the undefended path issues (then counts
-		// as a LoadRace). Unreachable single-goroutine: the window
-		// between unlock and relock is empty without concurrency.
-		e := &ls.entries[way]
-		ls.ops.CoalescedLoads++
-		ls.costs.Observe(CostCoalesced)
-		ls.costsClean.Observe(CostCoalesced)
-		//rwplint:allow hotalloc — copy-out is the Get API contract, as on the hit path
-		v := append([]byte(nil), e.val...)
-		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeFill, CostCoalesced)
-		return v, false
-	}
-	if c.cfg.NegOps > 0 && ls.negLookup(key) {
-		ls.ops.NegHits++
-		ls.costs.Observe(CostNegHit)
-		ls.costsClean.Observe(CostNegHit)
-		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostNegHit)
-		return nil, false
-	}
-	if c.cfg.Coalesce {
-		if fc, ok := sh.fills[key]; ok {
-			if c.cfg.LeaseOps == 0 || ls.opCount()-fc.born < c.cfg.LeaseOps {
-				// A fill for this key is in flight and its lease is
-				// live: wait for the leader's result instead of issuing
-				// a second backend call.
-				ls.ops.CoalescedLoads++
-				sh.mu.Unlock()
-				<-fc.done
-				v := cloneBytes(fc.val)
-				outcome := probe.OutcomeFill
-				if v == nil {
-					outcome = probe.OutcomeMiss
-				}
-				sh.mu.Lock()
-				ls.costs.Observe(CostCoalesced)
-				ls.costsClean.Observe(CostCoalesced)
-				sh.mu.Unlock()
-				c.logGet(key, set, outcome, CostCoalesced)
-				return v, false
-			}
-			// The leader's lease ran out: depose it so a stuck or dead
-			// fill cannot park the key forever. Our fresh fillCall
-			// replaces the map entry; the old leader's install guard
-			// (fills[key] == fc) keeps it from deleting ours, and the
-			// resident-recheck demotes whichever fetch lands second to
-			// a LoadRace.
-			ls.ops.LeaseExpires++
-		}
-	}
+// miss finishes a Get miss with a Loader configured. Get has already
+// counted the miss (Gets, GetMisses) and released the shard lock; this
+// function owns the rest of the operation — it takes and releases the
+// lock itself and does all remaining cost/telemetry accounting.
+// Exactly one of the six conservation counters is incremented on every
+// path that returns.
+//
+// Without a stampede defense the Loader is called straight away, with
+// no relock in between: two concurrent misses on one key both fetch,
+// and the second install resolves as a LoadRace. The defenses add a
+// locked pre-check (join a just-landed fill, answer from the negative
+// cache, wait on or depose an in-flight fill) and, under Coalesce,
+// register this Get as the key's fill leader.
+func (c *Cache) miss(sh *shard, ls *lset, key string, set int, ai cache.AccessInfo) ([]byte, bool) {
 	var fc *fillCall
-	if c.cfg.Coalesce {
-		fc = &fillCall{born: ls.opCount(), done: make(chan struct{})}
-		sh.fills[key] = fc
+	if c.cfg.Coalesce || c.cfg.NegOps > 0 {
+		sh.mu.Lock()
+		if way := ls.find(key); way >= 0 {
+			// The key landed between Get's miss probe and here — a
+			// writer or another miss's fill. Join the just-landed fill
+			// instead of fetching again: this is the tail of a storm, and
+			// exactly the duplicate Loader call the undefended path
+			// issues (then counts as a LoadRace). Unreachable
+			// single-goroutine: the window between unlock and relock is
+			// empty without concurrency.
+			ls.ops.CoalescedLoads++
+			ls.costsClean.Observe(CostCoalesced)
+			//rwplint:allow hotalloc — copy-out is the Get API contract, as on the hit path
+			v := append([]byte(nil), ls.entries[way].val...)
+			sh.mu.Unlock()
+			c.logGet(key, set, probe.OutcomeFill, CostCoalesced)
+			return v, false
+		}
+		if c.cfg.NegOps > 0 && ls.negLookup(key) {
+			ls.ops.NegHits++
+			ls.costsClean.Observe(CostNegHit)
+			sh.mu.Unlock()
+			c.logGet(key, set, probe.OutcomeMiss, CostNegHit)
+			return nil, false
+		}
+		if c.cfg.Coalesce {
+			if lead, ok := sh.fills[key]; ok {
+				if c.cfg.LeaseOps == 0 || ls.opCount()-lead.born < c.cfg.LeaseOps {
+					// A fill for this key is in flight and its lease is
+					// live: wait for the leader's result instead of
+					// issuing a second backend call.
+					ls.ops.CoalescedLoads++
+					sh.mu.Unlock()
+					return c.await(sh, ls, key, set, lead), false
+				}
+				// The leader's lease ran out: depose it so a stuck or dead
+				// fill cannot park the key forever. Our fresh fillCall
+				// replaces the map entry; the old leader's install guard
+				// (fills[key] == fc) keeps it from deleting ours, and the
+				// resident-recheck demotes whichever fetch lands second to
+				// a LoadRace.
+				ls.ops.LeaseExpires++
+			}
+			fc = &fillCall{born: ls.opCount(), done: make(chan struct{})}
+			sh.fills[key] = fc
+			// A Loader that panics (or exits its goroutine) must not park
+			// the key: the deferred cleanup unregisters the call and
+			// wakes its waiters, which re-panic with the leader's value.
+			defer fc.abandon(sh, key)
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
 	v := c.cfg.Loader(key)
 	sh.mu.Lock()
 	if fc != nil {
-		// Publish before waking waiters: the val write is ordered
-		// before close(done), and nothing writes val afterwards.
-		fc.val = v
-		if sh.fills[key] == fc {
-			delete(sh.fills, key)
-		}
-		close(fc.done)
+		fc.land(sh, key, v)
 	}
 	if ls.find(key) >= 0 {
-		// Lost the install race to a concurrent writer (or to the
-		// leader that replaced an expired lease of ours): the resident
-		// entry wins, exactly as on the undefended path.
+		// Lost the install race to a concurrent writer (or a reentrant
+		// Loader, or the leader that replaced an expired lease of ours):
+		// the resident entry — which may hold a newer Put — wins; the
+		// miss returns the value it fetched. The cost is the round trip
+		// alone: no fill, no eviction.
 		ls.ops.LoadRaces++
-		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
 		c.logGet(key, set, probe.OutcomeFill, CostMiss)
 		return v, false
 	}
 	if v == nil {
-		// The backend says absent: nothing installs (absence is not a
-		// value). With NegOps the verdict is remembered, so the next
-		// NegOps ops on this set answer locally; without it this is an
-		// ordinary absent fetch, same as the undefended path.
+		// The backend says absent: nothing installs (a look-aside cache
+		// stores values, not absences). With NegOps the verdict is
+		// remembered, so the next NegOps ops on this set answer
+		// locally; without it the next Get pays another round trip.
 		if c.cfg.NegOps > 0 {
 			ls.ops.NegInserts++
 			ls.negInsert(key, ls.opCount()+c.cfg.NegOps, c.cfg.Ways)
 		} else {
 			ls.ops.LoadAbsents++
 		}
-		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
 		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
@@ -238,15 +233,80 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 	ls.ops.Loads++
 	ls.negDelete(key)
 	cost := CostMiss
-	if ls.fill(sh, key, mem.LineAddr(h), v, ai, false) {
+	if ls.fill(key, v, ai, false) {
 		cost += CostDirtyEvict
 	}
-	ls.costs.Observe(cost)
 	ls.costsClean.Observe(cost)
 	sh.mu.Unlock()
 	c.logGet(key, set, probe.OutcomeFill, cost)
+	// No defensive copy on the way out: the Loader handed us a fresh
+	// value and fill stored its own copy, so the caller owns v.
 	return v, false
 }
+
+// await parks a coalesced waiter on the leader's fill and returns its
+// own copy of the result. If the leader's Loader panicked, the waiter
+// re-panics with the same value, as x/sync/singleflight does; the
+// waiter's op then records no cost.
+func (c *Cache) await(sh *shard, ls *lset, key string, set int, lead *fillCall) []byte {
+	<-lead.done
+	if lead.failed != nil {
+		panic(lead.failed)
+	}
+	v := cloneBytes(lead.val)
+	outcome := probe.OutcomeFill
+	if v == nil {
+		outcome = probe.OutcomeMiss
+	}
+	sh.mu.Lock()
+	ls.costsClean.Observe(CostCoalesced)
+	sh.mu.Unlock()
+	c.logGet(key, set, outcome, CostCoalesced)
+	return v
+}
+
+// land publishes the leader's result and wakes its waiters. Called
+// with the shard lock held, in the same critical section as the
+// install, so no miss can slip between the two and fetch again.
+func (fc *fillCall) land(sh *shard, key string, v []byte) {
+	// The val write is ordered before close(done), and nothing writes
+	// val afterwards.
+	fc.val = v
+	fc.landed = true
+	if sh.fills[key] == fc {
+		delete(sh.fills, key)
+	}
+	close(fc.done)
+}
+
+// abandon is the leader's deferred cleanup: a no-op once the fill
+// landed; otherwise the Loader panicked or exited its goroutine, so
+// the call is unregistered and its waiters woken with the failure, and
+// later Gets of the key call the Loader again. The leader's panic then
+// continues.
+func (fc *fillCall) abandon(sh *shard, key string) {
+	if fc.landed {
+		return
+	}
+	r := recover()
+	sh.mu.Lock()
+	fc.failed = r
+	if r == nil {
+		fc.failed = errLeaderExit
+	}
+	if sh.fills[key] == fc {
+		delete(sh.fills, key)
+	}
+	close(fc.done)
+	sh.mu.Unlock()
+	if r != nil {
+		panic(r)
+	}
+}
+
+// errLeaderExit is what waiters panic with when the leader's Loader
+// ended its goroutine (runtime.Goexit) instead of returning.
+var errLeaderExit = errors.New("live: coalesced fill leader exited inside the Loader")
 
 // cloneBytes copies a waiter's view of the leader's value (nil stays
 // nil: an absent key is absent for every waiter).

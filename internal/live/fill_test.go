@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rwp/internal/live"
 )
@@ -406,6 +407,81 @@ func TestNegativeCacheBounded(t *testing.T) {
 			calls.Load(), s.NegInserts, s.NegHits)
 	}
 	assertLaw(t, s)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recvOrFail receives from ch, failing the test if nothing arrives
+// within five seconds: a goroutine parked forever fails instead of
+// hanging the run.
+func recvOrFail[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	//rwplint:allow nowallclock — watchdog only: no result depends on the clock, a wedge fails instead of hanging
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still parked 5s later", what)
+		panic("unreachable")
+	}
+}
+
+// TestLeaderPanicUnparksKey: a coalesced leader whose Loader panics
+// must not wedge its key. With leases off nothing else would ever
+// depose it, so the leader's own cleanup has to unregister the fill
+// and wake its waiters: the waiter re-panics with the leader's value
+// (singleflight semantics) and a later Get fetches afresh.
+func TestLeaderPanicUnparksKey(t *testing.T) {
+	var calls atomic.Uint64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var c *live.Cache
+	cfg := defendedConfig()
+	cfg.Coalesce = true
+	cfg.Loader = func(key string) []byte {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("loader boom")
+		}
+		return []byte("fresh")
+	}
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// getPanic runs Get("k") and reports what it panicked with (nil if
+	// it returned).
+	getPanic := func(out chan<- any) {
+		defer func() { out <- recover() }()
+		c.Get("k")
+	}
+	leader := make(chan any, 1)
+	go getPanic(leader)
+	<-entered // the leader is inside the Loader
+	waiter := make(chan any, 1)
+	go getPanic(waiter)
+	for c.Stats().CoalescedLoads != 1 {
+		runtime.Gosched() // counted under the lock just before the waiter parks
+	}
+	close(release)
+	if r := recvOrFail(t, leader, "leader"); r != "loader boom" {
+		t.Errorf("leader panicked with %v, want the Loader's value", r)
+	}
+	if r := recvOrFail(t, waiter, "waiter of the panicked fill"); r != "loader boom" {
+		t.Errorf("waiter panicked with %v, want the leader's value", r)
+	}
+
+	fresh := make(chan []byte, 1)
+	go func() { v, _ := c.Get("k"); fresh <- v }()
+	if v := recvOrFail(t, fresh, "Get after the leader's panic"); !bytes.Equal(v, []byte("fresh")) {
+		t.Fatalf("Get after the panic returned %q, want a fresh fetch", v)
+	}
+	s := c.Stats()
+	if calls.Load() != 2 || s.Loads != 1 || s.CoalescedLoads != 1 {
+		t.Fatalf("calls %d, loads %d, coalesced %d; want 2/1/1", calls.Load(), s.Loads, s.CoalescedLoads)
+	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,13 @@
 // -race); only the interleaving — and therefore the exact counter
 // values — is scheduling-dependent, as for any concurrent cache.
 //
-// Observability reuses internal/probe: with Config.Record set, each
-// shard owns a probe.Recorder (guarded by the shard mutex) that
-// receives the same AccessEvent/FillEvent/EvictEvent stream the
-// simulator's cache model emits, plus RWP retarget events from the
-// per-set policies. ProbeStats merges them order-independently, so
-// the /stats payload served by cmd/rwpserve is also shard-count
-// invariant.
+// Observability is derived, not recorded: the per-set counters (ops,
+// the partition splits and the clean/dirty cost histograms) are the
+// only record of what happened. Stats sums them; ProbeStats derives
+// from the same counters the probe.Recorder view — the
+// AccessEvent/FillEvent/EvictEvent totals the simulator's cache model
+// would have emitted. Every piece is an order-independent sum, so the
+// /stats payload served by cmd/rwpserve is also shard-count invariant.
 package live
 
 import (
@@ -74,8 +74,11 @@ type Config struct {
 	RWP core.Config
 	// Loader, when non-nil, backfills Get misses with a clean fill.
 	Loader Loader
-	// Record attaches one probe.Recorder per shard; ProbeStats merges
-	// them. Off by default: the disabled path is a nil check per event.
+	// Record includes the probe section in StatsSnapshot (and makes
+	// ProbeStats non-nil). The section is derived from the per-set
+	// counters on demand, so Record costs nothing on the hot path; it
+	// stays a switch because documents without the section are what
+	// callers that merge node documents themselves compare against.
 	Record bool
 	// ReqLog, when non-nil, receives one probe.ReqEvent per completed
 	// Get/Put — the request-stream recorder behind rwpserve -record.
@@ -206,23 +209,20 @@ type lset struct {
 	dirtyCount int
 	ops        Counters
 	// splits are the partition-attribution counters (hit splits by the
-	// line's dirty bit, bypass splits by access class). They exist so a
-	// snapshot restore can rebuild the probe recorders exactly, and are
-	// maintained unconditionally — like ops, they are cumulative
+	// line's dirty bit, bypass splits by access class) that ProbeStats
+	// derives the probe view from. Like ops, they are cumulative
 	// history: ResetRange preserves them, ResetStats clears them.
 	splits splitCounters
-	// costs is the set's service-cost histogram (one observation per
-	// completed Get/Put). Per-set — not per-shard — so StatsRange can
-	// attribute costs to ring-shard set ranges and the cluster's merged
-	// document stays exact. Like ops, it is cumulative history:
-	// ResetRange preserves it, ResetStats clears it.
-	costs probe.CostHist
-	// costsClean and costsDirty split costs by the partition that
-	// served or received the op's line: a Get hit goes by the entry's
-	// dirty bit, every other Get (miss, loader fill, race) is clean
-	// service — a read miss is or would be a clean fill — and every Put
-	// is dirty service, since a write dirties the line. The three
-	// histograms conserve: costs == costsClean + costsDirty.
+	// costsClean and costsDirty are the set's service-cost histograms
+	// (one observation per completed Get/Put), split by the partition
+	// that served or received the op's line: a Get hit goes by the
+	// entry's dirty bit, every other Get (miss, loader fill, race) is
+	// clean service — a read miss is or would be a clean fill — and
+	// every Put is dirty service, since a write dirties the line. The
+	// total histogram is their sum, formed when stats are aggregated.
+	// Per set, not per shard, so StatsRange can attribute costs to
+	// ring-shard set ranges and the cluster's merged document stays
+	// exact. Cumulative history, like ops.
 	costsClean probe.CostHist
 	costsDirty probe.CostHist
 	// negs is the set's negative cache (fill.go): keys the Loader
@@ -273,12 +273,11 @@ func (s *lset) find(key string) int {
 	return -1
 }
 
-// shard is one lock domain: a contiguous run of sets plus an optional
-// probe recorder, all guarded by mu.
+// shard is one lock domain: a contiguous run of sets, all guarded by
+// mu.
 type shard struct {
 	mu   sync.Mutex
 	sets []lset
-	rec  *probe.Recorder // nil unless Config.Record
 	// fills tracks in-flight coalesced Loader calls by key (fill.go).
 	// Guarded by mu like everything else; nil unless Config.Coalesce.
 	// Per shard, not per set: entries are keyed lookups only (never
@@ -292,9 +291,6 @@ type Cache struct {
 	mask     uint64
 	perShard int
 	shards   []*shard
-	// stampede is true when any miss-storm defense is configured; the
-	// Get miss path then detours through missDefended (fill.go).
-	stampede bool
 }
 
 // New builds a cache from cfg.
@@ -308,17 +304,13 @@ func New(cfg Config) (*Cache, error) {
 		perShard: cfg.Sets / cfg.Shards,
 		shards:   make([]*shard, cfg.Shards),
 	}
-	c.stampede = cfg.Loader != nil && (cfg.Coalesce || cfg.NegOps > 0)
 	for si := range c.shards {
 		sh := &shard{sets: make([]lset, c.perShard)}
-		if cfg.Record {
-			sh.rec = probe.NewRecorder(0)
-		}
 		if cfg.Coalesce {
 			sh.fills = make(map[string]*fillCall)
 		}
 		for i := range sh.sets {
-			initSet(&sh.sets[i], cfg, sh.rec)
+			initSet(&sh.sets[i], cfg)
 		}
 		c.shards[si] = sh
 	}
@@ -326,12 +318,12 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // initSet (re)builds one set to its freshly-constructed state: empty
-// entries, zero occupancy, a brand-new policy instance wired to rec.
+// entries, zero occupancy, a brand-new policy instance.
 // The entries backing array is reused when already allocated. The
 // operation counters are deliberately left untouched — they are
 // cumulative history, and ResetRange must not un-count work that
 // happened.
-func initSet(ls *lset, cfg Config, rec *probe.Recorder) {
+func initSet(ls *lset, cfg Config) {
 	if ls.entries == nil {
 		ls.entries = make([]entry, cfg.Ways)
 	} else {
@@ -347,12 +339,8 @@ func initSet(ls *lset, cfg Config, rec *probe.Recorder) {
 	ls.rwp = nil
 	switch cfg.Policy {
 	case "rwp":
-		p := core.New(cfg.RWP)
-		if rec != nil {
-			p.SetProbe(rec)
-		}
-		ls.rwp = p
-		ls.pol = p
+		ls.rwp = core.New(cfg.RWP)
+		ls.pol = ls.rwp
 	default: // "lru", by Validate
 		ls.pol = policy.NewLRU()
 	}
@@ -375,6 +363,18 @@ func (c *Cache) ResetRange(lo, hi int) (purged int) {
 	if lo < 0 || hi > c.cfg.Sets || lo > hi {
 		panic("live: ResetRange out of bounds")
 	}
+	c.eachSet(lo, hi, func(_ int, ls *lset) {
+		purged += ls.validCount
+		initSet(ls, c.cfg)
+	})
+	return purged
+}
+
+// eachSet calls f on every global set g in [lo, hi), ascending, with
+// the set's shard lock held. It locks one shard at a time, so under
+// concurrent load a walk is a consistent per-set composite, not a
+// global atomic point. Callers bounds-check the range.
+func (c *Cache) eachSet(lo, hi int, f func(g int, ls *lset)) {
 	for si, sh := range c.shards {
 		base := si * c.perShard
 		if base+c.perShard <= lo || base >= hi {
@@ -383,13 +383,11 @@ func (c *Cache) ResetRange(lo, hi int) (purged int) {
 		sh.mu.Lock()
 		for i := range sh.sets {
 			if g := base + i; g >= lo && g < hi {
-				purged += sh.sets[i].validCount
-				initSet(&sh.sets[i], c.cfg, sh.rec)
+				f(g, &sh.sets[i])
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return purged
 }
 
 // Config returns the cache's configuration.
@@ -416,12 +414,12 @@ func (c *Cache) locate(h uint64) (*shard, *lset) {
 // non-reentrant Loader never race, so their behavior and counters are
 // bit-identical across runs and shard counts.
 //
-// With any stampede defense configured (Config.Coalesce / NegOps) the
-// miss detours through missDefended in fill.go: concurrent misses on
-// one key share a single Loader call, and Loader-reported absences are
-// remembered for an op-count window. The detour engages only on the
-// miss-with-Loader path, and only collapses genuinely concurrent
-// fills, so hit-path cost and single-goroutine behavior are untouched.
+// The rest of a miss with a Loader is miss, in fill.go. With a
+// stampede defense configured (Config.Coalesce / NegOps) it also
+// shares one Loader call among concurrent misses on a key and
+// remembers Loader-reported absences for an op-count window; the
+// defenses only collapse genuinely concurrent fills, so hit-path cost
+// and single-goroutine behavior are untouched.
 //
 //rwplint:hotpath — the serving read path; every allocation here is a written-down decision
 func (c *Cache) Get(key string) (val []byte, hit bool) {
@@ -436,16 +434,9 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		ls.ops.GetHits++
 		if e.dirty {
 			ls.splits.GetHitsDirty++
-		} else {
-			ls.splits.GetHitsClean++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Load, Hit: true, LineDirty: e.dirty})
-		}
-		ls.costs.Observe(CostHit)
-		if e.dirty {
 			ls.costsDirty.Observe(CostHit)
 		} else {
+			ls.splits.GetHitsClean++
 			ls.costsClean.Observe(CostHit)
 		}
 		ls.pol.OnHit(0, way, ai)
@@ -458,67 +449,18 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		return v, true
 	}
 	ls.ops.GetMisses++
-	if sh.rec != nil {
-		sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Load, Hit: false})
-	}
 	if c.cfg.Loader == nil {
-		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
 		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
 		return nil, false
-	}
-	if c.stampede {
-		// Stampede defenses are on: the rest of this miss — negative
-		// cache, singleflight coalescing, lease bookkeeping, the Loader
-		// call, all cost accounting — lives in missDefended (fill.go),
-		// which takes the lock back itself (no helper ever inherits a
-		// held lock across the call boundary).
-		sh.mu.Unlock()
-		return c.missDefended(sh, ls, key, set, h, ai)
 	}
 	// The backing-store fetch runs outside the lock: a slow Loader
 	// stalls only this Get, not every key in the shard (and a reentrant
-	// Loader does not self-deadlock).
+	// Loader does not self-deadlock). miss takes the lock back itself —
+	// no helper inherits a held lock across the call boundary.
 	sh.mu.Unlock()
-	v := c.cfg.Loader(key)
-	sh.mu.Lock()
-	if ls.find(key) >= 0 {
-		// Lost the race: someone installed the key while we were
-		// loading. Keep the resident entry (it may hold a newer Put);
-		// return the value this miss actually fetched. The cost is the
-		// round trip alone — no fill, no eviction.
-		ls.ops.LoadRaces++
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeFill, CostMiss)
-		return v, false
-	}
-	if v == nil {
-		// The backing store has no such key. A look-aside cache stores
-		// values, not absences — nothing installs, the miss stands, and
-		// the next Get pays another round trip (Config.NegOps bounds
-		// that with an explicit expiring verdict instead).
-		ls.ops.LoadAbsents++
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
-		return nil, false
-	}
-	ls.ops.Loads++
-	cost := CostMiss
-	if ls.fill(sh, key, mem.LineAddr(h), v, ai, false) {
-		cost += CostDirtyEvict
-	}
-	ls.costs.Observe(cost)
-	ls.costsClean.Observe(cost)
-	sh.mu.Unlock()
-	c.logGet(key, set, probe.OutcomeFill, cost)
-	// No defensive copy on the way out: the Loader handed us a fresh
-	// value and fill stored its own copy, so the caller owns v.
-	return v, false
+	return c.miss(sh, ls, key, set, ai)
 }
 
 // logGet emits one Get capture event; a no-op without a recorder. It
@@ -554,16 +496,10 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 			ls.splits.PutHitsDirty++
 		} else {
 			ls.splits.PutHitsClean++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Store, Hit: true, LineDirty: e.dirty})
-		}
-		if !e.dirty {
 			e.dirty = true
 			ls.dirtyCount++
 		}
 		e.val = append(e.val[:0], val...)
-		ls.costs.Observe(CostHit)
 		ls.costsDirty.Observe(CostHit)
 		ls.pol.OnHit(0, way, ai)
 		sh.mu.Unlock()
@@ -574,29 +510,21 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 	// A write proves the key exists now: drop any negative-cache entry
 	// before the fill installs it (no-op unless NegOps is configured).
 	ls.negDelete(key)
-	if sh.rec != nil {
-		sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Store, Hit: false})
-	}
 	cost := CostInsert
-	if ls.fill(sh, key, mem.LineAddr(h), val, ai, true) {
+	if ls.fill(key, val, ai, true) {
 		cost += CostDirtyEvict
 	}
-	ls.costs.Observe(cost)
 	ls.costsDirty.Observe(cost)
 	sh.mu.Unlock()
 	c.logPut(key, val, set, probe.OutcomeInsert, cost)
 	return true
 }
 
-// LevelName labels live-cache probe events (the simulator uses cache
-// level names like "LLC" here).
-const LevelName = "live"
-
 // fill installs (key, val) into the set, evicting the policy's victim
 // if the set is full. Called with the shard lock held. It reports
 // whether the fill evicted a dirty entry — the cost model's writeback
 // surcharge trigger.
-func (ls *lset) fill(sh *shard, key string, line mem.LineAddr, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
+func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
 	way, bypass := ls.pol.Victim(0, ai)
 	if bypass {
 		// Neither LRU nor RWP ever bypasses; kept for policy-interface
@@ -606,9 +534,6 @@ func (ls *lset) fill(sh *shard, key string, line mem.LineAddr, val []byte, ai ca
 			ls.splits.BypassStores++
 		} else {
 			ls.splits.BypassLoads++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheBypass(probe.BypassEvent{Level: LevelName, Class: probe.Class(ai.Class)})
 		}
 		return false
 	}
@@ -620,23 +545,15 @@ func (ls *lset) fill(sh *shard, key string, line mem.LineAddr, val []byte, ai ca
 			ls.ops.DirtyEvictions++
 			ls.dirtyCount--
 		}
-		if sh.rec != nil {
-			sh.rec.CacheEvict(probe.EvictEvent{Level: LevelName, Class: probe.Class(ai.Class), Dirty: e.dirty})
-		}
 		ls.pol.OnEvict(0, way, ai)
 	} else {
 		ls.validCount++
 	}
-	*e = entry{key: key, val: append([]byte(nil), val...), line: line, valid: true, dirty: dirty}
-	if dirty {
-		ls.dirtyCount++
-	}
+	*e = entry{key: key, val: append([]byte(nil), val...), line: ai.Line, valid: true, dirty: dirty}
 	ls.ops.Fills++
 	if dirty {
+		ls.dirtyCount++
 		ls.ops.FillsDirty++
-	}
-	if sh.rec != nil {
-		sh.rec.CacheFill(probe.FillEvent{Level: LevelName, Class: probe.Class(ai.Class), Dirty: dirty})
 	}
 	ls.pol.OnFill(0, way, ai)
 	return evictedDirty

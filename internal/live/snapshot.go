@@ -15,10 +15,11 @@ import (
 // (internal/snap holds the format). Two restore semantics exist on
 // purpose:
 //
-//   - RestoreSnapshot is the full warm restart: entries, policy state,
-//     op/cost counters, and a probe-recorder rebuild, so the restored
-//     server's /stats document and all future behavior are
-//     byte-identical to a never-restarted run.
+//   - RestoreSnapshot is the full warm restart: entries, policy state
+//     and op/cost counters — the counters every stats view, the probe
+//     section included, is derived from — so the restored server's
+//     /stats document and all future behavior are byte-identical to a
+//     never-restarted run.
 //   - RestoreRange is cluster replica catch-up: entries and policy
 //     state only, for the snapshot's set range. The target node keeps
 //     its own counters — they are its cumulative history, and the
@@ -30,11 +31,11 @@ import (
 // exactly as it was — never partially restored.
 //
 // Stampede-defense state: the defense counters (LoadAbsents,
-// CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the Ops record (schema
-// v2). The negative cache and in-flight fillCalls deliberately do not
-// — both are transient op-clocked state, and starting them cold after
-// a restore only means re-consulting the backend for a few keys; a
-// stale absence verdict is never served. Consequently restart
+// CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the
+// Ops record. The negative cache and in-flight fillCalls deliberately
+// do not — both are transient op-clocked state, and starting them
+// cold after a restore only means re-consulting the backend for a few
+// keys; a stale absence verdict is never served. Consequently restart
 // bit-equivalence is exact for NegOps == 0 configurations, and
 // counter-conserving (never stale) otherwise; see DESIGN.md §16.
 //
@@ -73,21 +74,10 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 	if hi > lo {
 		s.Records = make([]snap.SetRecord, 0, hi-lo)
 	}
-	// Shards are contiguous ascending set ranges, so this emits records
-	// in ascending global-set order — the canonical record order.
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= lo || base >= hi {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= lo && g < hi {
-				s.Records = append(s.Records, snapSet(g, &sh.sets[i]))
-			}
-		}
-		sh.mu.Unlock()
-	}
+	// eachSet walks ascending global sets — the canonical record order.
+	c.eachSet(lo, hi, func(g int, ls *lset) {
+		s.Records = append(s.Records, snapSet(g, ls))
+	})
 	return s
 }
 
@@ -96,7 +86,6 @@ func snapSet(g int, ls *lset) snap.SetRecord {
 	r := snap.SetRecord{
 		Set:        g,
 		Ops:        opsToSnap(ls),
-		Costs:      cloneHist(ls.costs),
 		CostsClean: cloneHist(ls.costsClean),
 		CostsDirty: cloneHist(ls.costsDirty),
 	}
@@ -137,11 +126,11 @@ func cloneHist(h probe.CostHist) probe.CostHist {
 }
 
 // RestoreSnapshot performs a full warm restart from a whole-cache
-// snapshot: entries, policy state, counters, cost histograms, and a
-// probe-recorder rebuild. The snapshot must cover [0, Sets) and match
-// the cache's policy, geometry, and RWP configuration exactly —
-// restart equivalence is only meaningful against the same
-// configuration. On error the cache is untouched.
+// snapshot: entries, policy state, counters and cost histograms. The
+// snapshot must cover [0, Sets) and match the cache's policy,
+// geometry, and RWP configuration exactly — restart equivalence is
+// only meaningful against the same configuration. On error the cache
+// is untouched.
 func (c *Cache) RestoreSnapshot(s *snap.Snapshot) error {
 	if s.Lo != 0 || s.Hi != c.cfg.Sets {
 		return fmt.Errorf("live: restore covers sets [%d,%d), want the whole cache [0,%d)", s.Lo, s.Hi, c.cfg.Sets)
@@ -150,7 +139,6 @@ func (c *Cache) RestoreSnapshot(s *snap.Snapshot) error {
 		return err
 	}
 	c.applyRange(s, true)
-	c.rebuildRecorders()
 	return nil
 }
 
@@ -222,29 +210,18 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 // restores counters and cost histograms; catch-up keeps the target's.
 // Infallible by construction: every failure mode was checked.
 func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= s.Lo || base >= s.Hi {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= s.Lo && g < s.Hi {
-				ls := &sh.sets[i]
-				purged += ls.validCount
-				restoreSet(ls, c.cfg, sh.rec, &s.Records[g-s.Lo], full)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	c.eachSet(s.Lo, s.Hi, func(g int, ls *lset) {
+		purged += ls.validCount
+		restoreSet(ls, c.cfg, &s.Records[g-s.Lo], full)
+	})
 	return purged
 }
 
-// restoreSet rebuilds one set from its record: a fresh policy (wired
-// to the shard's current recorder), then the recorded entries replayed
-// as fills LRU-first into ways 0..K-1, then the policy state.
-func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, full bool) {
-	initSet(ls, cfg, rec)
+// restoreSet rebuilds one set from its record: a fresh policy, then
+// the recorded entries replayed as fills LRU-first into ways 0..K-1,
+// then the policy state.
+func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
+	initSet(ls, cfg)
 	n := len(r.Entries)
 	for i := n - 1; i >= 0; i-- {
 		way := n - 1 - i
@@ -264,8 +241,8 @@ func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, fu
 			class = cache.DemandStore
 		}
 		// OnFill, not fill(): policy bookkeeping (recency touch, RWP
-		// written bits) without advancing the interval clock, emitting
-		// probe events, or counting ops — those all transfer as state.
+		// written bits) without advancing the interval clock or counting
+		// ops — those transfer as state.
 		ls.pol.OnFill(0, way, cache.AccessInfo{Line: mem.LineAddr(h), Class: class})
 	}
 	if ls.rwp != nil {
@@ -278,55 +255,8 @@ func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, fu
 	if full {
 		ls.ops = opsFromSnap(&r.Ops)
 		ls.splits = splitsFromSnap(&r.Ops)
-		ls.costs = cloneHist(r.Costs)
 		ls.costsClean = cloneHist(r.CostsClean)
 		ls.costsDirty = cloneHist(r.CostsDirty)
-	}
-}
-
-// rebuildRecorders reconstructs each shard's probe recorder from the
-// restored per-set counters. The mapping inverts exactly what the
-// Get/Put/fill paths emit: every Get is a Load access (hits split by
-// the line's dirty bit, fills are the Loader installs, all clean);
-// every Put is a Store access (fills are the write-allocates:
-// Fills-Loads, all dirty fills are Puts); evictions split by victim
-// dirty bit. Retarget event sequences are not reconstructable (they
-// are an event log, not a sum) and no stats document reads them; see
-// DESIGN.md §15.
-func (c *Cache) rebuildRecorders() {
-	if !c.cfg.Record {
-		return
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		rec := probe.NewRecorder(0)
-		for i := range sh.sets {
-			ls := &sh.sets[i]
-			load := &rec.Classes[probe.Load]
-			load.Accesses += ls.ops.Gets
-			load.Hits += ls.ops.GetHits
-			load.Misses += ls.ops.GetMisses
-			load.HitsClean += ls.splits.GetHitsClean
-			load.HitsDirty += ls.splits.GetHitsDirty
-			load.Fills += ls.ops.Loads
-			load.Bypasses += ls.splits.BypassLoads
-			store := &rec.Classes[probe.Store]
-			store.Accesses += ls.ops.Puts
-			store.Hits += ls.ops.PutHits
-			store.Misses += ls.ops.PutInserts
-			store.HitsClean += ls.splits.PutHitsClean
-			store.HitsDirty += ls.splits.PutHitsDirty
-			store.Fills += ls.ops.Fills - ls.ops.Loads
-			store.FillsDirty += ls.ops.FillsDirty
-			store.Bypasses += ls.splits.BypassStores
-			rec.EvictDirty += ls.ops.DirtyEvictions
-			rec.EvictClean += ls.ops.Evictions - ls.ops.DirtyEvictions
-			if ls.rwp != nil {
-				ls.rwp.SetProbe(rec)
-			}
-		}
-		sh.rec = rec
-		sh.mu.Unlock()
 	}
 }
 

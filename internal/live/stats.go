@@ -79,12 +79,13 @@ type Stats struct {
 	// the Cost* constants), exact and sparse. Bucket-wise merging is
 	// commutative, so it aggregates order-independently like every
 	// other field; percentiles come from probe.CostHist.Percentile.
+	// It is CostHistClean + CostHistDirty, summed per set as stats are
+	// aggregated — the sets keep only the split.
 	CostHist probe.CostHist
 	// CostHistClean and CostHistDirty split CostHist by the partition
 	// that served or received each op: Get hits by the line's dirty
 	// bit, all other Gets clean (a read miss is or would be a clean
-	// fill), all Puts dirty (a write dirties the line). They conserve:
-	// CostHist == CostHistClean + CostHistDirty bucket-wise, which is
+	// fill), all Puts dirty (a write dirties the line). The split is
 	// what lets the restart benchmark show dirty-eviction cost recovery
 	// per partition.
 	CostHistClean probe.CostHist
@@ -131,7 +132,8 @@ func (s *Stats) addSet(ls *lset) {
 		s.RetargetDown += down
 		s.RetargetSame += same
 	}
-	s.CostHist.Add(ls.costs)
+	s.CostHist.Add(ls.costsClean)
+	s.CostHist.Add(ls.costsDirty)
 	s.CostHistClean.Add(ls.costsClean)
 	s.CostHistDirty.Add(ls.costsDirty)
 }
@@ -139,20 +141,7 @@ func (s *Stats) addSet(ls *lset) {
 // Stats aggregates the per-set counters and policy state. It locks one
 // shard at a time, so under concurrent load the aggregate is a
 // consistent sum of per-set snapshots, not a global atomic snapshot.
-func (c *Cache) Stats() Stats {
-	var s Stats
-	if c.cfg.Policy == "rwp" {
-		s.TargetHist = make([]uint64, c.cfg.Ways+1)
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.sets {
-			s.addSet(&sh.sets[i])
-		}
-		sh.mu.Unlock()
-	}
-	return s
-}
+func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 
 // StatsRange aggregates exactly the global sets in [lo, hi). The
 // cluster layer assigns each ring shard a contiguous set range, so a
@@ -170,72 +159,56 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 	if c.cfg.Policy == "rwp" {
 		s.TargetHist = make([]uint64, c.cfg.Ways+1)
 	}
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= lo || base >= hi {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= lo && g < hi {
-				s.addSet(&sh.sets[i])
-			}
-		}
-		sh.mu.Unlock()
-	}
+	c.eachSet(lo, hi, func(_ int, ls *lset) { s.addSet(ls) })
 	return s
 }
 
-// ProbeStats merges the per-shard probe recorders into one Recorder
-// holding the order-independent aggregates (class counters and the
-// eviction split; retarget sequences stay per-shard because their
-// interleaving depends on the shard layout). It returns nil when the
-// cache was built without Config.Record.
+// ProbeStats derives the probe recorder view of the cache from the
+// per-set counters: the class counters and eviction split the
+// simulator's cache model would have recorded for the same op stream,
+// plus the service-cost histogram. It returns nil when the cache was
+// built without Config.Record.
+//
+// The mapping: every Get is a Load access (hits split by the line's
+// dirty bit; fills are the Loader installs, all clean); every Put is a
+// Store access (fills are the write-allocates, Fills-Loads; every
+// dirty fill is a Put); evictions split by the victim's dirty bit.
+// Retarget events are an event log, not a sum, so the view has none;
+// the per-set retarget counts are in Stats.
 func (c *Cache) ProbeStats() *probe.Recorder {
 	if !c.cfg.Record {
 		return nil
 	}
 	m := probe.NewRecorder(0)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for cl := probe.Class(0); cl < probe.NumClasses; cl++ {
-			m.Classes[cl].Add(sh.rec.Classes[cl])
-		}
-		m.EvictClean += sh.rec.EvictClean
-		m.EvictDirty += sh.rec.EvictDirty
-		// Service costs live per set (so StatsRange can split them by
-		// ring shard); the merged recorder carries their union so node
-		// journals (cluster.WriteNodeJournals) get a costs record.
-		for i := range sh.sets {
-			m.Costs.Add(sh.sets[i].costs)
-		}
-		sh.mu.Unlock()
-	}
+	load, store := &m.Classes[probe.Load], &m.Classes[probe.Store]
+	c.eachSet(0, c.cfg.Sets, func(_ int, ls *lset) {
+		o, sp := &ls.ops, &ls.splits
+		load.Add(probe.ClassCounters{
+			Accesses: o.Gets, Hits: o.GetHits, Misses: o.GetMisses,
+			HitsClean: sp.GetHitsClean, HitsDirty: sp.GetHitsDirty,
+			Fills: o.Loads, Bypasses: sp.BypassLoads,
+		})
+		store.Add(probe.ClassCounters{
+			Accesses: o.Puts, Hits: o.PutHits, Misses: o.PutInserts,
+			HitsClean: sp.PutHitsClean, HitsDirty: sp.PutHitsDirty,
+			Fills: o.Fills - o.Loads, FillsDirty: o.FillsDirty, Bypasses: sp.BypassStores,
+		})
+		m.EvictDirty += o.DirtyEvictions
+		m.EvictClean += o.Evictions - o.DirtyEvictions
+		m.Costs.Add(ls.costsClean)
+		m.Costs.Add(ls.costsDirty)
+	})
 	return m
 }
 
-// ResetStats zeroes the operation counters and probe recorders (e.g.
+// ResetStats zeroes the operation counters and cost histograms (e.g.
 // after warmup), leaving cache contents and policy state untouched —
 // the same warmup/measure split the simulator uses.
 func (c *Cache) ResetStats() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.sets {
-			sh.sets[i].ops = Counters{}
-			sh.sets[i].splits = splitCounters{}
-			sh.sets[i].costs.Reset()
-			sh.sets[i].costsClean.Reset()
-			sh.sets[i].costsDirty.Reset()
-		}
-		if sh.rec != nil {
-			rec := probe.NewRecorder(0)
-			sh.rec = rec
-			for i := range sh.sets {
-				if sh.sets[i].rwp != nil {
-					sh.sets[i].rwp.SetProbe(rec)
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
+	c.eachSet(0, c.cfg.Sets, func(_ int, ls *lset) {
+		ls.ops = Counters{}
+		ls.splits = splitCounters{}
+		ls.costsClean.Reset()
+		ls.costsDirty.Reset()
+	})
 }

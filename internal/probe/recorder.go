@@ -18,8 +18,9 @@ type ClassCounters struct {
 	Bypasses   uint64
 }
 
-// Add accumulates o into c. Aggregators (internal/live merges one
-// Recorder per shard) use it to combine recorders order-independently.
+// Add accumulates o into c. Aggregators (internal/live sums one set's
+// counters at a time, the cluster one node's view at a time) use it to
+// combine counters order-independently.
 func (c *ClassCounters) Add(o ClassCounters) {
 	c.Accesses += o.Accesses
 	c.Hits += o.Hits
@@ -68,8 +69,8 @@ type Recorder struct {
 	Intervals []IntervalEvent
 
 	// Costs is the histogram of modeled per-op service costs, where a
-	// source provides them (the live cache observes one per Get/Put;
-	// the trace simulator leaves it empty). Merging histograms is
+	// source provides them (the live cache's view holds one per
+	// Get/Put; the trace simulator leaves it empty). Merging histograms is
 	// commutative, so aggregated recorders stay order-independent.
 	Costs CostHist
 }

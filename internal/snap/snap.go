@@ -1,5 +1,5 @@
 // Package snap is the deterministic snapshot format for the live RWP
-// cache: schema rwp-snap-v2, a canonical binary encoding with a
+// cache: schema rwp-snap-v3, a canonical binary encoding with a
 // CRC-32C trailer, written atomically (fsatomic). A snapshot is
 // set-indexed, never shard-indexed — it records, per global set, the
 // resident entries in recency order plus the owning per-set RWP
@@ -33,13 +33,15 @@ import (
 
 // Magic is the schema identifier leading every snapshot file. v2 added
 // the stampede-defense counters (LoadAbsents, CoalescedLoads, NegHits,
-// NegInserts, LeaseExpires) to every set record; v1 snapshots are rejected with
-// ErrSchema rather than silently restored with those counters zeroed.
+// NegInserts, LeaseExpires) to every set record; v3 dropped the total
+// cost histogram, which is always the sum of the clean and dirty ones
+// (so a record can no longer contradict itself). Older snapshots are
+// rejected with ErrSchema rather than half-read.
 // Negative-cache contents and in-flight fill state are deliberately
 // NOT in the format: both are transient op-clocked state, and a
 // restored cache starting with them cold only re-consults the backend
 // — it never serves a stale absence verdict (see DESIGN.md §16).
-const Magic = "rwp-snap-v2\n"
+const Magic = "rwp-snap-v3\n"
 
 // Limits mirror the wire protocol's: a snapshot holds the same keys
 // and values the transport carries.
@@ -55,7 +57,7 @@ const (
 	MaxWays = 256
 )
 
-// ErrSchema reports a file that is not an rwp-snap-v2 snapshot at all.
+// ErrSchema reports a file that is not an rwp-snap-v3 snapshot at all.
 var ErrSchema = errors.New("snap: unrecognized snapshot schema")
 
 // ErrCorrupt reports a snapshot that declares the right schema but
@@ -85,9 +87,9 @@ type SetRecord struct {
 	Entries []Entry
 	// Ops are the set's cumulative operation counters.
 	Ops Ops
-	// Costs, CostsClean, CostsDirty are the set's service-cost
-	// histograms: total and the clean/dirty partition split.
-	Costs, CostsClean, CostsDirty probe.CostHist
+	// CostsClean, CostsDirty are the set's service-cost histograms,
+	// split by partition; their sum is the set's total.
+	CostsClean, CostsDirty probe.CostHist
 	// RWP is the set's policy state; nil for non-RWP policies.
 	RWP *core.State
 }
@@ -100,7 +102,7 @@ type Entry struct {
 }
 
 // Ops mirrors the live cache's per-set counters plus the partition
-// split counters the probe-recorder rebuild needs.
+// split counters the probe view is derived from.
 type Ops struct {
 	Gets, GetHits, GetMisses    uint64
 	Puts, PutHits, PutInserts   uint64
@@ -117,7 +119,7 @@ type Ops struct {
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode renders s in the canonical rwp-snap-v2 byte form. The
+// Encode renders s in the canonical rwp-snap-v3 byte form. The
 // encoding is a pure function of s: identical snapshots encode to
 // identical bytes, which is what lets check.sh cmp-gate the
 // re-snapshot fixed point.
@@ -157,7 +159,6 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 	for _, v := range opsFields(&r.Ops) {
 		b = binary.AppendUvarint(b, *v)
 	}
-	b = appendHist(b, r.Costs)
 	b = appendHist(b, r.CostsClean)
 	b = appendHist(b, r.CostsDirty)
 	if r.RWP == nil {
@@ -419,9 +420,6 @@ func (d *decoder) record(s *Snapshot, want int) (SetRecord, error) {
 	if err := checkOps(&r.Ops); err != nil {
 		return r, d.fail("set %d: %v", want, err)
 	}
-	if r.Costs, err = d.hist("cost histogram"); err != nil {
-		return r, err
-	}
 	if r.CostsClean, err = d.hist("clean cost histogram"); err != nil {
 		return r, err
 	}
@@ -472,7 +470,7 @@ func (d *decoder) entry(e *Entry) error {
 }
 
 // checkOps rejects counter combinations the live cache can never
-// produce, so a recorder rebuilt from them would misreport.
+// produce, so a probe view derived from them would misreport.
 func checkOps(o *Ops) error {
 	switch {
 	case o.GetHitsClean+o.GetHitsDirty != o.GetHits:

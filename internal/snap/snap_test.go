@@ -17,10 +17,7 @@ import (
 // sample builds a small but fully-populated snapshot: two sets, one
 // with entries + RWP state, histograms, history, sampler stacks.
 func sample() *Snapshot {
-	var costs, clean, dirty probe.CostHist
-	costs.Observe(1)
-	costs.Observe(16)
-	costs.Observe(16)
+	var clean, dirty probe.CostHist
 	clean.Observe(1)
 	dirty.Observe(16)
 	dirty.Observe(16)
@@ -68,7 +65,6 @@ func sample() *Snapshot {
 					GetHitsClean: 4, GetHitsDirty: 2,
 					PutHitsClean: 1, PutHitsDirty: 1,
 				},
-				Costs:      costs,
 				CostsClean: clean,
 				CostsDirty: dirty,
 				RWP:        &st,
@@ -99,7 +95,8 @@ func TestDecodeWrongSchema(t *testing.T) {
 		nil,
 		[]byte("short"),
 		[]byte("rwp-snap-v1\nxxxxxxxxxxxxxxxx"), // pre-stampede-counter schema: rejected, never half-read
-		[]byte("rwp-snap-v3\nxxxxxxxxxxxxxxxx"),
+		[]byte("rwp-snap-v2\nxxxxxxxxxxxxxxxx"), // pre-v3 records carry a total cost histogram: rejected
+		[]byte("rwp-snap-v4\nxxxxxxxxxxxxxxxx"),
 		bytes.Repeat([]byte{0xff}, 64),
 	} {
 		if _, err := Decode(data); !errors.Is(err, ErrSchema) {
@@ -165,7 +162,10 @@ func TestDecodeStructuralRejections(t *testing.T) {
 		}},
 		{"duplicate key in set", func(s *Snapshot) { s.Records[0].Entries[1].Key = s.Records[0].Entries[0].Key }},
 		{"inverted range", func(s *Snapshot) { s.Lo, s.Hi = s.Hi, s.Lo; s.Records = nil }},
-		{"hi beyond sets", func(s *Snapshot) { s.Hi = 5; s.Records = append(s.Records, SetRecord{Set: 3, RWP: s.Records[1].RWP}, SetRecord{Set: 4, RWP: s.Records[1].RWP}) }},
+		{"hi beyond sets", func(s *Snapshot) {
+			s.Hi = 5
+			s.Records = append(s.Records, SetRecord{Set: 3, RWP: s.Records[1].RWP}, SetRecord{Set: 4, RWP: s.Records[1].RWP})
+		}},
 		{"sets not power of two", func(s *Snapshot) { s.Sets = 3 }},
 		{"zero ways", func(s *Snapshot) { s.Ways = 0 }},
 		{"get-hit split broken", func(s *Snapshot) { s.Records[0].Ops.GetHitsClean++ }},

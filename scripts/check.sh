@@ -20,6 +20,16 @@ go build ./...
 echo '>> go vet ./...'
 go vet ./...
 
+# Formatting: every Go file outside dot-directories (build caches live
+# there) must be gofmt-clean; the failure lists the files to fix.
+echo '>> gofmt -l'
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo 'check.sh: FAIL: gofmt -l lists unformatted files:' >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo '>> go run ./cmd/rwplint ./...'
 go run ./cmd/rwplint ./...
 
@@ -27,10 +37,11 @@ echo '>> go test ./...'
 go test ./...
 
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
-# the F.Add seeds) through the wire-protocol fuzz targets so a corpus
-# regression fails the gate without needing a fuzzing run.
-echo '>> go test -run=Fuzz ./internal/live/proto'
-go test -run=Fuzz ./internal/live/proto
+# the F.Add seeds) through the wire-protocol and snapshot-decoder fuzz
+# targets so a corpus regression fails the gate without needing a
+# fuzzing run.
+echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap'
+go test -run=Fuzz ./internal/live/proto ./internal/snap
 
 if [ "$short" = 0 ]; then
     echo '>> go test -race ./...'
